@@ -17,10 +17,7 @@ outputs and no internal imports::
 
 ``simulate`` runs one configuration; ``sweep`` fans a list of
 :class:`~repro.engine.spec.RunSpec` out over worker processes with
-deterministic result ordering and optional on-disk caching.  The old
-entry points (``repro.runtime.loader``, ``repro.harness.experiment``)
-are gone — importing them raises ``ImportError`` naming the
-replacement.
+deterministic result ordering and optional on-disk caching.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from repro.compiler.passes import (
     prepare_for_model,
     grouping_report,
     STRIPPED_SUFFIX,
-    LEGACY_STRIPPED_SUFFIX,
 )
 from repro.compiler.interblock import (
     InterblockEstimate,
@@ -48,7 +47,6 @@ __all__ = [
     "prepare_for_model",
     "grouping_report",
     "STRIPPED_SUFFIX",
-    "LEGACY_STRIPPED_SUFFIX",
     "InterblockEstimate",
     "oracle_config",
     "estimate",

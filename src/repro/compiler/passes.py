@@ -33,19 +33,13 @@ def _group_with_report(
     return reassemble(blocks, program.name + name_suffix), report
 
 
-#: Suffix appended by :func:`strip_switches`.  Historically this was
-#: ``"-switch"`` (which read as "plus switch" — the opposite of what the
-#: pass does); program names are cosmetic and feed no cache key, so the
-#: rename is free (``tests/test_compiler_grouping.py`` pins the spec and
-#: config keys to prove it).
+#: Suffix appended by :func:`strip_switches`.  Program names are cosmetic
+#: and feed no cache key (``tests/test_compiler_grouping.py`` pins the
+#: spec and config keys to prove it).
 STRIPPED_SUFFIX = "-noswitch"
 
-#: The pre-rename suffix, kept so callers that matched on the old
-#: spelling can keep doing so explicitly.
-LEGACY_STRIPPED_SUFFIX = "-switch"
 
-
-def strip_switches(program: Program, name_suffix: str = STRIPPED_SUFFIX) -> Program:
+def strip_switches(program: Program) -> Program:
     """Remove every SWITCH instruction (for the split-phase use models,
     which wait at the first *use* instead of at an explicit switch)."""
     blocks = build_blocks(program)
@@ -53,7 +47,7 @@ def strip_switches(program: Program, name_suffix: str = STRIPPED_SUFFIX) -> Prog
         block.instructions = [
             ins for ins in block.instructions if ins.op is not Op.SWITCH
         ]
-    return reassemble(blocks, program.name + name_suffix)
+    return reassemble(blocks, program.name + STRIPPED_SUFFIX)
 
 
 def prepare_for_model(

@@ -23,11 +23,15 @@ Equivalence contract
 --------------------
 The generated code must be **bit-identical** to the interpreter: same
 SimStats, same tracer event stream, same exceptions with the same
-messages.  Every emission site therefore mirrors a specific line of
-``_burst`` — per-instruction order is (1) deadline check, (2) in-flight
-scoreboard check, (3) tracer probe, (4) execution — and anything the
-interpreter evaluates for its side effects (a divide-by-zero check on a
-discarded destination, a cache LRU touch) is still evaluated here.
+messages.  Every emission site therefore mirrors a specific line of the
+interpreter's per-instruction loop in ``Processor._burst`` —
+per-instruction order is (1) deadline check, (2) in-flight scoreboard
+check, (3) tracer probe, (4) execution — and anything the interpreter
+evaluates for its side effects (a divide-by-zero check on a discarded
+destination, a cache LRU touch) is still evaluated here.  Nothing here
+emits end-of-burst bookkeeping: a block function returns the burst
+state, and the driver hands it to the interpreter's own
+``Processor._end_burst``.
 
 A *block function* covers the instructions from its entry pc up to the
 first unconditional control transfer (or an emission cap) and has the

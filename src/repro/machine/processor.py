@@ -161,8 +161,9 @@ class Processor:
         self.model = _MODEL_CODES[config.model]
         self.burst_limit = config.burst_limit
         # switch-every-cycle is implemented as one-cycle switch-on-load
-        # bursts (see _burst_sec).  Fold that rewrite in here, once,
-        # instead of swapping model/burst_limit around every burst.
+        # bursts whose pauses _end_burst turns into taken switches.  Fold
+        # that rewrite in here, once, instead of swapping model/burst_limit
+        # around every burst.
         self._sec = self.model == M_SEC
         if self._sec:
             self.model = M_SOL
@@ -178,10 +179,7 @@ class Processor:
     def dispatch_event(self, now: int, _arg=None) -> None:
         """Heap event: run one burst of the current thread."""
         thread = self.threads[self.cur]
-        if self._sec:
-            outcome, t_end = self._burst_sec(thread, now)
-        else:
-            outcome, t_end = self._burst(thread, now)
+        outcome, t_end = self._burst(thread, now)
         sim = self.sim
         tracer = sim.tracer
         if tracer is not None:
@@ -675,7 +673,37 @@ class Processor:
                     break
                 # IDEAL / MISS / USE_MISS ignore stray SWITCH opcodes.
 
-        # -- burst bookkeeping ----------------------------------------------------
+        return self._end_burst(
+            thread, now, t, pc, n_instr, run0, outcome, resume, flush
+        )
+
+    def _end_burst(
+        self,
+        thread: ThreadContext,
+        now: int,
+        t: int,
+        pc: int,
+        n_instr: int,
+        run0: int,
+        outcome: int,
+        resume: int,
+        flush: int,
+    ):
+        """End-of-burst bookkeeping, shared by every burst engine.
+
+        Accounts busy cycles and instructions, records the run length on
+        a taken switch or halt, and carries the run across a pause or
+        yield.  Returns ``(outcome, t_end)`` where ``t_end`` includes any
+        pipeline-flush cost of the switch.
+        """
+        if outcome == OUT_PAUSE and self._sec:
+            # switch-every-cycle: the single instruction completed without
+            # a model switch, so the artificial pause (resume == t, no
+            # flush) becomes a taken rotation.
+            outcome = OUT_SWITCH
+        sim = self.sim
+        stats = sim.stats
+        tracer = sim.tracer
         elapsed = t - now
         self.busy_cycles += elapsed
         stats.busy_cycles += elapsed
@@ -690,7 +718,7 @@ class Processor:
             thread.run_cycles = 0
             thread.resume_time = resume
             if tracer is not None:
-                tracer.switch_taken(t, pid, thread.tid, resume)
+                tracer.switch_taken(t, self.pid, thread.tid, resume)
             if flush:
                 stats.switch_overhead_cycles += flush
                 return OUT_SWITCH, t + flush
@@ -702,35 +730,9 @@ class Processor:
             thread.halt_time = t
             sim.thread_halted(t)
             if tracer is not None:
-                tracer.thread_halt(t, pid, thread.tid)
+                tracer.thread_halt(t, self.pid, thread.tid)
             return OUT_HALT, t
         # PAUSE / YIELD: the run continues across the boundary.
         thread.run_cycles = run0 + t
         thread.resume_time = resume
         return outcome, t
-
-    def _burst_sec(self, thread: ThreadContext, now: int):
-        """switch-every-cycle: one instruction, then rotate (HEP style).
-
-        Implemented by running the main interpreter with a one-cycle
-        deadline so exactly one instruction executes, then forcing a
-        rotation.  Shared loads behave like switch-on-load.  (The
-        model/burst-limit rewrite happened once, in ``__init__``.)
-        """
-        outcome, t_end = self._burst(thread, now)
-        if outcome == OUT_PAUSE:
-            # The single instruction completed without a model switch:
-            # convert the artificial pause into a taken rotation.
-            stats = self.sim.stats
-            stats.switches += 1
-            run = thread.run_cycles  # inlined stats.record_run
-            if run > 0:
-                stats.run_lengths[run] += 1
-            thread.run_cycles = 0
-            thread.resume_time = t_end
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.switch_taken(t_end, self.pid, thread.tid, t_end)
-            return OUT_SWITCH, t_end
-        return outcome, t_end
-

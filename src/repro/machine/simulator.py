@@ -34,6 +34,7 @@ from repro.isa.program import Program
 from repro.machine.cache import Cache
 from repro.machine.config import MachineConfig
 from repro.machine.directory import Directory
+from repro.machine.models import SwitchModel
 from repro.machine.network import MsgKind
 from repro.machine.stats import SimStats
 from repro.machine.thread import ThreadContext
@@ -236,7 +237,13 @@ class Simulator:
         self._faa_replay = {}
 
         self.backend = resolve_backend(backend)
-        if self.backend == "compiled":
+        # Switch-every-cycle runs one-instruction bursts, which give block
+        # dispatch nothing to amortize: the interpreter is the faster
+        # engine for it on either backend.
+        if (
+            self.backend == "compiled"
+            and config.model is not SwitchModel.SWITCH_EVERY_CYCLE
+        ):
             from repro.jit.driver import CompiledProcessor as processor_cls
         else:
             processor_cls = Processor

@@ -4,10 +4,7 @@ The loader plays the role of the fork step in the paper's applications:
 it materialises the shared-memory image, creates one thread context per
 simulated process, and sets the convention registers — ``r4`` thread id,
 ``r5`` thread count, ``r6`` argument-block base — before the machine
-starts at cycle zero.
-
-(Current home of what ``repro.runtime.loader`` used to export — that
-module is gone; prefer the :mod:`repro.api` facade for new code.)
+starts at cycle zero.  Prefer the :mod:`repro.api` facade for new code.
 """
 
 from __future__ import annotations

@@ -141,19 +141,7 @@ def test_cache_entries_are_shared_across_backends(tmp_path):
     assert second.stats.to_dict() == first.stats.to_dict()
 
 
-# -- removed modules ----------------------------------------------------------
-
-
-def test_loader_module_is_removed():
-    """The one-release DeprecationWarning shim is now a hard failure
-    that names the replacements."""
-    with pytest.raises(ImportError, match=r"repro\.runtime\.execution"):
-        import repro.runtime.loader  # noqa: F401
-
-
-def test_experiment_module_is_removed():
-    with pytest.raises(ImportError, match=r"repro\.harness"):
-        import repro.harness.experiment  # noqa: F401
+# -- canonical imports --------------------------------------------------------
 
 
 def test_canonical_imports_do_not_warn(recwarn):

@@ -158,17 +158,13 @@ def test_strip_switches():
     assert stripped.shared_load_count() == grouped.shared_load_count()
 
 
-def test_strip_switches_suffix_rename_and_legacy_alias():
-    from repro.compiler import LEGACY_STRIPPED_SUFFIX, STRIPPED_SUFFIX
+def test_strip_switches_suffix_rename():
+    from repro.compiler import STRIPPED_SUFFIX
 
     assert STRIPPED_SUFFIX == "-noswitch"
-    assert LEGACY_STRIPPED_SUFFIX == "-switch"  # the pre-rename spelling
     program = assemble(SOR_STYLE)
     stripped = strip_switches(group_program(program))
     assert stripped.name.endswith(STRIPPED_SUFFIX)
-    legacy = strip_switches(group_program(program),
-                            name_suffix=LEGACY_STRIPPED_SUFFIX)
-    assert legacy.name.endswith("-switch")
 
 
 def test_suffix_rename_left_cache_keys_unchanged():

@@ -10,6 +10,10 @@ This suite pins that contract three ways:
 * a fault-injected subset (uniform latency jitter + 1% reply loss),
   where the compiled backend must take the interpreter's slow paths —
   byte for byte — through the NACK/retry protocol;
+* each grid and fault-injected cell also runs traced, where both
+  backends must emit the same :class:`~repro.obs.tracer.RingTracer`
+  event stream (traced runs compile a different variant, so the
+  untraced cases stay);
 * the committed golden fixture (``tests/data/golden_stats.json``) plus
   the :mod:`repro.check` result oracles, so the compiled backend is
   anchored to the same pre-fault baseline as the interpreter, not just
@@ -27,6 +31,7 @@ from repro.engine.executor import _build
 from repro.engine.spec import RunSpec
 from repro.faults import FaultConfig
 from repro.machine import SwitchModel
+from repro.obs.tracer import RingTracer
 from repro.runtime.execution import make_simulator
 
 GOLDEN = json.loads(
@@ -47,7 +52,18 @@ FAULT_MODELS = (
 )
 
 
-def _stats_for(spec: RunSpec, backend: str, lint: bool = True):
+def _cells(apps, models):
+    """``(app, model, traced)`` params; untraced cells keep the plain
+    ``app-model`` id."""
+    return [
+        pytest.param(app, model, traced, id=f"{app}-{model}{suffix}")
+        for app in apps
+        for model in models
+        for traced, suffix in ((False, ""), (True, "-traced"))
+    ]
+
+
+def _stats_for(spec: RunSpec, backend: str, lint: bool = True, tracer=None):
     """One in-process simulation -> checked SimulationResult."""
     app, program = _build(
         spec.app,
@@ -57,29 +73,45 @@ def _stats_for(spec: RunSpec, backend: str, lint: bool = True):
         lint,
     )
     result = make_simulator(
-        app, spec.machine_config(), program=program, backend=backend
+        app,
+        spec.machine_config(),
+        program=program,
+        tracer=tracer,
+        backend=backend,
     ).run()
     if app.check is not None:
         app.check(result.shared)
     return result
 
 
-@pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("app", APPS)
-def test_grid_cell_is_bit_identical(app, model):
+def _run_both(spec: RunSpec, traced: bool):
+    """Run *spec* on both backends; when *traced*, also assert the full
+    tracer event streams are equal."""
+    tracers = [RingTracer(capacity=None) if traced else None for _ in range(2)]
+    interpreted = _stats_for(spec, "interpreter", tracer=tracers[0])
+    compiled = _stats_for(spec, "compiled", tracer=tracers[1])
+    if traced:
+        events = tracers[0].events()
+        assert events, f"{spec.app}/{spec.model}: the tracer recorded nothing"
+        assert events == tracers[1].events(), (
+            f"{spec.app}/{spec.model}: compiled tracer stream diverges"
+        )
+    return interpreted, compiled
+
+
+@pytest.mark.parametrize("app, model, traced", _cells(APPS, MODELS))
+def test_grid_cell_is_bit_identical(app, model, traced):
     """Interpreter and compiled agree on every fault-free grid cell."""
     spec = RunSpec(app=app, model=model, processors=2, level=4, scale="tiny")
-    interpreted = _stats_for(spec, "interpreter")
-    compiled = _stats_for(spec, "compiled")
+    interpreted, compiled = _run_both(spec, traced)
     assert interpreted.stats.to_dict() == compiled.stats.to_dict(), (
         f"{app}/{model}: compiled SimStats diverge from the interpreter"
     )
     assert interpreted.wall_cycles == compiled.wall_cycles
 
 
-@pytest.mark.parametrize("model", FAULT_MODELS)
-@pytest.mark.parametrize("app", FAULT_APPS)
-def test_fault_injected_cell_is_bit_identical(app, model):
+@pytest.mark.parametrize("app, model, traced", _cells(FAULT_APPS, FAULT_MODELS))
+def test_fault_injected_cell_is_bit_identical(app, model, traced):
     """Jittered latency + 1% reply loss: the compiled backend must fall
     back to the interpreter's fault paths and still match exactly."""
     spec = RunSpec.create(
@@ -92,8 +124,7 @@ def test_fault_injected_cell_is_bit_identical(app, model):
             latency_model="uniform", jitter=80, seed=7, loss_rate=0.01
         ),
     )
-    interpreted = _stats_for(spec, "interpreter")
-    compiled = _stats_for(spec, "compiled")
+    interpreted, compiled = _run_both(spec, traced)
     assert interpreted.stats.to_dict() == compiled.stats.to_dict(), (
         f"{app}/{model}: compiled diverges under fault injection"
     )
